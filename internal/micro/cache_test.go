@@ -282,3 +282,153 @@ func TestPrefetchStatsClearOnReset(t *testing.T) {
 		t.Fatal("Flush kept contents")
 	}
 }
+
+// TestPrefetchUsefulAfterFlush: a fill into an invalidated way must not
+// clear the prefetch mark of a different, live line. On one 4-way set,
+// lines 0 and 10 (and their prefetched successors 1 and 11) fill all
+// four ways; after Flush, re-filling 10 then 20 reuses those ways, and
+// the later demand hit on prefetched line 11 must count as useful.
+func TestPrefetchUsefulAfterFlush(t *testing.T) {
+	c := MustCache("f", 4*64, 4, 64)
+	c.EnablePrefetcher()
+	c.Access(0 * 64)
+	c.Access(10 * 64)
+	c.Flush()
+	c.Access(10 * 64) // prefetches 11
+	c.Access(20 * 64) // prefetches 21
+	if !c.Access(11 * 64) {
+		t.Fatal("prefetched line 11 missed")
+	}
+	if c.PrefetchUseful != 1 {
+		t.Fatalf("PrefetchUseful = %d after a demand hit on prefetched line 11, want 1", c.PrefetchUseful)
+	}
+}
+
+// refCache is the reference model Cache must match: a plain true-LRU
+// cache that keeps each way's line, valid flag, prefetch flag and age
+// stamp in separate slices and scans every way of the set, tag and age
+// together, on every lookup.
+type refCache struct {
+	ways     int
+	setMask  uint64
+	line     []uint64
+	valid    []bool
+	pref     []bool
+	age      []uint64
+	clock    uint64
+	prefetch bool
+
+	accesses, misses, prefetches, prefetchMisses, useful uint64
+}
+
+func newRefCache(sets, ways int) *refCache {
+	n := sets * ways
+	return &refCache{ways: ways, setMask: uint64(sets - 1),
+		line: make([]uint64, n), valid: make([]bool, n), pref: make([]bool, n), age: make([]uint64, n)}
+}
+
+// access looks up one line address (not a byte address).
+func (r *refCache) access(line uint64) bool {
+	hit := r.lookupFill(line, false)
+	if !hit && r.prefetch {
+		r.prefetches++
+		if !r.lookupFill(line+1, true) {
+			r.prefetchMisses++
+		}
+	}
+	return hit
+}
+
+func (r *refCache) lookupFill(line uint64, prefetch bool) bool {
+	r.clock++
+	if !prefetch {
+		r.accesses++
+	}
+	base := int(line&r.setMask) * r.ways
+	victim, oldest := base, ^uint64(0)
+	for i := base; i < base+r.ways; i++ {
+		if r.valid[i] && r.line[i] == line {
+			r.age[i] = r.clock
+			if !prefetch {
+				if r.pref[i] {
+					r.useful++
+				}
+				r.pref[i] = false
+			}
+			return true
+		}
+		if !r.valid[i] {
+			victim, oldest = i, 0
+		} else if r.age[i] < oldest {
+			victim, oldest = i, r.age[i]
+		}
+	}
+	if !prefetch {
+		r.misses++
+	}
+	r.line[victim], r.valid[victim], r.pref[victim], r.age[victim] = line, true, prefetch, r.clock
+	return false
+}
+
+func (r *refCache) flush() {
+	clear(r.valid)
+	clear(r.pref)
+	clear(r.age)
+	r.clock = 0
+	r.accesses, r.misses, r.prefetches, r.prefetchMisses, r.useful = 0, 0, 0, 0, 0
+}
+
+// TestCacheMatchesReferenceModel drives random line streams through
+// Cache and refCache and requires the same hit or miss on every access
+// and the same counters, with the prefetcher on and off and with Flush
+// in mid-stream. The geometries are a 128-way fully-associative TLB, a
+// 32-set 8-way L1 and the 512-set 12-way default LLC.
+func TestCacheMatchesReferenceModel(t *testing.T) {
+	const line = 64
+	for _, g := range []struct{ sets, ways int }{{1, 128}, {32, 8}, {512, 12}} {
+		for _, prefetch := range []bool{false, true} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				c := MustCache("c", g.sets*g.ways*line, g.ways, line)
+				ref := newRefCache(g.sets, g.ways)
+				if prefetch {
+					c.EnablePrefetcher()
+					ref.prefetch = true
+				}
+				src := rng.New(seed)
+				capLines := g.sets * g.ways
+				var cur uint64
+				for i := 0; i < 30000; i++ {
+					switch p := src.Float64(); {
+					case p < 0.0002:
+						c.Flush()
+						ref.flush()
+						continue
+					case p < 0.5: // near the last line: streams and reuse
+						cur = (cur + uint64(src.Intn(9)) - 4) & (1<<40 - 1)
+					case p < 0.85: // a working set twice the capacity
+						cur = uint64(src.Intn(2 * capLines))
+					default: // anywhere
+						cur = uint64(src.Int63()) >> 23
+					}
+					got, want := c.Access(cur*line+uint64(src.Intn(line))), ref.access(cur)
+					if got != want {
+						t.Fatalf("%dx%d prefetch=%v seed=%d: access %d (line %d): hit=%v, reference %v",
+							g.sets, g.ways, prefetch, seed, i, cur, got, want)
+					}
+				}
+				if c.Accesses != ref.accesses || c.Misses != ref.misses ||
+					c.Prefetches != ref.prefetches || c.PrefetchMisses != ref.prefetchMisses ||
+					c.PrefetchUseful != ref.useful {
+					t.Fatalf("%dx%d prefetch=%v seed=%d: counters %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d",
+						g.sets, g.ways, prefetch, seed,
+						c.Accesses, c.Misses, c.Prefetches, c.PrefetchMisses, c.PrefetchUseful,
+						ref.accesses, ref.misses, ref.prefetches, ref.prefetchMisses, ref.useful)
+				}
+				if ref.misses == 0 || ref.misses == ref.accesses {
+					t.Fatalf("%dx%d prefetch=%v seed=%d: degenerate stream, %d misses of %d",
+						g.sets, g.ways, prefetch, seed, ref.misses, ref.accesses)
+				}
+			}
+		}
+	}
+}
