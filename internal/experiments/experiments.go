@@ -77,10 +77,18 @@ func WithConfig(cfg Config) Option {
 }
 
 // Runner caches the generated dataset across experiments so `repro all`
-// measures one database, exactly as the paper did.
+// measures one database, exactly as the paper did. It also trains each
+// detector that several reports share only once: the binary classifiers
+// on the global top-8 features (Figs 13-16) and the multiclass
+// classifiers (Figs 17 and 18). A Runner is not safe for concurrent use;
+// run its experiments from one goroutine.
 type Runner struct {
 	cfg Config
 	tbl *dataset.Table
+
+	top8    []string               // global binary top-8 features
+	binary8 []*core.DetectorResult // per core.ClassifierNames(), on top8, with hardware
+	multi   []*core.DetectorResult // per core.MulticlassNames(), all features
 }
 
 // NewRunner returns a Runner. With no options it reproduces the paper
@@ -121,6 +129,71 @@ func (r *Runner) Dataset() (*dataset.Table, error) {
 	r.tbl = tbl
 	r.progress("dataset", 1, 1)
 	return tbl, nil
+}
+
+// binaryTop8 returns the global binary top-8 feature set and every
+// binary classifier trained on it, with its hardware report, in
+// core.ClassifierNames order. It computes them on first use.
+func (r *Runner) binaryTop8() ([]string, []*core.DetectorResult, error) {
+	if r.binary8 != nil {
+		return r.top8, r.binary8, nil
+	}
+	tbl, err := r.Dataset()
+	if err != nil {
+		return nil, nil, err
+	}
+	top8, err := core.GlobalTopFeaturesBinary(tbl, 8, 0.95)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := sweep(r, core.ClassifierNames(), func(name string) (*core.DetectorResult, error) {
+		return core.RunDetector(tbl, core.DetectorConfig{
+			Classifier: name, Binary: true, Features: top8, Seed: r.cfg.Seed,
+		})
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	r.top8, r.binary8 = top8, res
+	return top8, res, nil
+}
+
+// multiclass returns every multiclass classifier trained on all features,
+// in core.MulticlassNames order. It computes them on first use.
+func (r *Runner) multiclass() ([]*core.DetectorResult, error) {
+	if r.multi != nil {
+		return r.multi, nil
+	}
+	tbl, err := r.Dataset()
+	if err != nil {
+		return nil, err
+	}
+	res, err := sweep(r, core.MulticlassNames(), func(name string) (*core.DetectorResult, error) {
+		return core.RunDetector(tbl, core.DetectorConfig{
+			Classifier: name, Binary: false, Seed: r.cfg.Seed, SkipHardware: true,
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.multi = res
+	return res, nil
+}
+
+// sweep runs fn once per classifier name, one task per name, and reports
+// progress as each finishes. Every task trains from the runner's seed, so
+// the results, in names order, are the same at any worker count.
+func sweep[T any](r *Runner, names []string, fn func(name string) (T, error)) ([]T, error) {
+	var done atomic.Int64
+	return parallel.Map(
+		parallel.Options{Name: "experiments.classifiers", Workers: r.workers()},
+		len(names), func(i int) (T, error) {
+			v, err := fn(names[i])
+			if err == nil {
+				r.progress(names[i], int(done.Add(1)), len(names))
+			}
+			return v, err
+		})
 }
 
 // progress reports one completed unit of work to the configured callback
@@ -303,7 +376,7 @@ func (r *Runner) Fig13() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	top8, err := core.GlobalTopFeaturesBinary(tbl, 8, 0.95)
+	top8, res8, err := r.binaryTop8()
 	if err != nil {
 		return nil, err
 	}
@@ -314,78 +387,39 @@ func (r *Runner) Fig13() (*Report, error) {
 		PaperClaim: "most classifiers lose a little accuracy at 4 features; J48 and OneR barely change",
 		Header:     []string{"classifier", "acc@16", "acc@8", "acc@4", "delta 8->4"},
 	}
-	// One task per classifier; each trains its three models (16/8/4
-	// features) independently from the shared seed, so row order and
-	// content match the serial sweep at any worker count.
+	// The 8-feature models are the ones Figs 14-16 synthesize; the 16- and
+	// 4-feature models are trained here, one task per classifier.
 	names := core.ClassifierNames()
-	var done atomic.Int64
-	rows, err := parallel.Map(
-		parallel.Options{Name: "experiments.classifiers", Workers: r.workers()},
-		len(names), func(i int) ([]string, error) {
-			name := names[i]
-			res16, err := core.RunDetector(tbl, core.DetectorConfig{
-				Classifier: name, Binary: true,
-				Seed: r.cfg.Seed, SkipHardware: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res8, err := core.RunDetector(tbl, core.DetectorConfig{
-				Classifier: name, Binary: true, Features: top8,
-				Seed: r.cfg.Seed, SkipHardware: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res4, err := core.RunDetector(tbl, core.DetectorConfig{
-				Classifier: name, Binary: true, Features: top4,
-				Seed: r.cfg.Seed, SkipHardware: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			a16, a8, a4 := res16.Eval.Accuracy(), res8.Eval.Accuracy(), res4.Eval.Accuracy()
-			r.progress(name, int(done.Add(1)), len(names))
-			return []string{
-				name, pct(a16), pct(a8), pct(a4), fmt.Sprintf("%+.1f%%", (a4-a8)*100),
-			}, nil
+	type pair struct{ res16, res4 *core.DetectorResult }
+	pairs, err := sweep(r, names, func(name string) (pair, error) {
+		res16, err := core.RunDetector(tbl, core.DetectorConfig{
+			Classifier: name, Binary: true, Seed: r.cfg.Seed, SkipHardware: true,
 		})
+		if err != nil {
+			return pair{}, err
+		}
+		res4, err := core.RunDetector(tbl, core.DetectorConfig{
+			Classifier: name, Binary: true, Features: top4,
+			Seed: r.cfg.Seed, SkipHardware: true,
+		})
+		return pair{res16, res4}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Rows = rows
+	for i, name := range names {
+		a16, a8, a4 := pairs[i].res16.Eval.Accuracy(), res8[i].Eval.Accuracy(), pairs[i].res4.Eval.Accuracy()
+		rep.Rows = append(rep.Rows, []string{
+			name, pct(a16), pct(a8), pct(a4), fmt.Sprintf("%+.1f%%", (a4-a8)*100),
+		})
+	}
 	return rep, nil
 }
 
 // HardwareFigures reproduces Figures 14 (area), 15 (latency) and 16
 // (accuracy per area) over the binary classifiers at 8 reduced features.
 func (r *Runner) HardwareFigures(id string) (*Report, error) {
-	tbl, err := r.Dataset()
-	if err != nil {
-		return nil, err
-	}
-	top8, err := core.GlobalTopFeaturesBinary(tbl, 8, 0.95)
-	if err != nil {
-		return nil, err
-	}
-	type row struct {
-		name string
-		res  *core.DetectorResult
-	}
-	names := core.ClassifierNames()
-	var done atomic.Int64
-	rows, err := parallel.Map(
-		parallel.Options{Name: "experiments.classifiers", Workers: r.workers()},
-		len(names), func(i int) (row, error) {
-			res, err := core.RunDetector(tbl, core.DetectorConfig{
-				Classifier: names[i], Binary: true, Features: top8, Seed: r.cfg.Seed,
-			})
-			if err != nil {
-				return row{}, err
-			}
-			r.progress(names[i], int(done.Add(1)), len(names))
-			return row{names[i], res}, nil
-		})
+	_, results, err := r.binaryTop8()
 	if err != nil {
 		return nil, err
 	}
@@ -395,13 +429,13 @@ func (r *Runner) HardwareFigures(id string) (*Report, error) {
 		rep.Title = "Hardware area comparison (LUT-equivalents, 8 features)"
 		rep.PaperClaim = "MLP is by far the largest; OneR and JRip the smallest"
 		rep.Header = []string{"classifier", "LUT", "FF", "DSP", "BRAM", "equiv LUTs", "power mW", "nJ/inf"}
-		for _, rw := range rows {
-			a := rw.res.HW.Area
-			pw := hw.EstimatePower(rw.res.HW, 1)
-			rep.Rows = append(rep.Rows, []string{rw.name,
+		for _, res := range results {
+			a := res.HW.Area
+			pw := hw.EstimatePower(res.HW, 1)
+			rep.Rows = append(rep.Rows, []string{res.Classifier,
 				fmt.Sprintf("%d", a.LUT), fmt.Sprintf("%d", a.FF),
 				fmt.Sprintf("%d", a.DSP), fmt.Sprintf("%d", a.BRAM),
-				fmt.Sprintf("%d", rw.res.HW.EquivLUTs),
+				fmt.Sprintf("%d", res.HW.EquivLUTs),
 				fmt.Sprintf("%.2f", pw.TotalMW()),
 				fmt.Sprintf("%.3f", pw.EnergyPerInferenceNJ)})
 		}
@@ -409,10 +443,10 @@ func (r *Runner) HardwareFigures(id string) (*Report, error) {
 		rep.Title = "Hardware latency comparison (cycles at 100 MHz, 8 features)"
 		rep.PaperClaim = "trees and rules classify in a handful of cycles; MLP latency dominates"
 		rep.Header = []string{"classifier", "cycles", "latency ns"}
-		for _, rw := range rows {
-			rep.Rows = append(rep.Rows, []string{rw.name,
-				fmt.Sprintf("%d", rw.res.HW.Cycles),
-				fmt.Sprintf("%.0f", rw.res.HW.LatencyNs)})
+		for _, res := range results {
+			rep.Rows = append(rep.Rows, []string{res.Classifier,
+				fmt.Sprintf("%d", res.HW.Cycles),
+				fmt.Sprintf("%.0f", res.HW.LatencyNs)})
 		}
 	case "fig16":
 		rep.Title = "Accuracy/Area comparison (accuracy % per kLUT, 8 features)"
@@ -424,11 +458,11 @@ func (r *Runner) HardwareFigures(id string) (*Report, error) {
 			row  []string
 		}
 		var foms []fom
-		for _, rw := range rows {
-			v := hw.AccuracyPerArea(rw.res.Eval.Accuracy(), rw.res.HW)
-			foms = append(foms, fom{rw.name, v, []string{rw.name,
-				pct(rw.res.Eval.Accuracy()),
-				fmt.Sprintf("%d", rw.res.HW.EquivLUTs),
+		for _, res := range results {
+			v := hw.AccuracyPerArea(res.Eval.Accuracy(), res.HW)
+			foms = append(foms, fom{res.Classifier, v, []string{res.Classifier,
+				pct(res.Eval.Accuracy()),
+				fmt.Sprintf("%d", res.HW.EquivLUTs),
 				fmt.Sprintf("%.1f", v)}})
 		}
 		sort.SliceStable(foms, func(i, j int) bool { return foms[i].v > foms[j].v })
@@ -443,7 +477,7 @@ func (r *Runner) HardwareFigures(id string) (*Report, error) {
 // Fig17 reproduces the multiclass average accuracy comparison
 // (MLR / MLP / SVM on the 6-class problem, all 16 features).
 func (r *Runner) Fig17() (*Report, error) {
-	tbl, err := r.Dataset()
+	results, err := r.multiclass()
 	if err != nil {
 		return nil, err
 	}
@@ -453,31 +487,16 @@ func (r *Runner) Fig17() (*Report, error) {
 		PaperClaim: "neural networks (MLP) have the best multiclass accuracy",
 		Header:     []string{"classifier", "accuracy"},
 	}
-	names := core.MulticlassNames()
-	var done atomic.Int64
-	rows, err := parallel.Map(
-		parallel.Options{Name: "experiments.classifiers", Workers: r.workers()},
-		len(names), func(i int) ([]string, error) {
-			res, err := core.RunDetector(tbl, core.DetectorConfig{
-				Classifier: names[i], Binary: false, Seed: r.cfg.Seed, SkipHardware: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			r.progress(names[i], int(done.Add(1)), len(names))
-			return []string{core.MulticlassLabel(names[i]), pct(res.Eval.Accuracy())}, nil
-		})
-	if err != nil {
-		return nil, err
+	for _, res := range results {
+		rep.Rows = append(rep.Rows, []string{core.MulticlassLabel(res.Classifier), pct(res.Eval.Accuracy())})
 	}
-	rep.Rows = rows
 	return rep, nil
 }
 
 // Fig18 reproduces the per-class accuracy (recall) of the multiclass
 // classifiers.
 func (r *Runner) Fig18() (*Report, error) {
-	tbl, err := r.Dataset()
+	results, err := r.multiclass()
 	if err != nil {
 		return nil, err
 	}
@@ -487,28 +506,13 @@ func (r *Runner) Fig18() (*Report, error) {
 		PaperClaim: "per-class accuracy varies strongly by family; the benign-like trojan and the smallest family (worm, 149 samples) suffer most",
 		Header:     append([]string{"classifier"}, classNames()...),
 	}
-	names := core.MulticlassNames()
-	var done atomic.Int64
-	rows, err := parallel.Map(
-		parallel.Options{Name: "experiments.classifiers", Workers: r.workers()},
-		len(names), func(i int) ([]string, error) {
-			res, err := core.RunDetector(tbl, core.DetectorConfig{
-				Classifier: names[i], Binary: false, Seed: r.cfg.Seed, SkipHardware: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			row := []string{core.MulticlassLabel(names[i])}
-			for c := 0; c < workload.NumClasses; c++ {
-				row = append(row, pct(res.Eval.Confusion.Recall(c)))
-			}
-			r.progress(names[i], int(done.Add(1)), len(names))
-			return row, nil
-		})
-	if err != nil {
-		return nil, err
+	for _, res := range results {
+		row := []string{core.MulticlassLabel(res.Classifier)}
+		for c := 0; c < workload.NumClasses; c++ {
+			row = append(row, pct(res.Eval.Confusion.Recall(c)))
+		}
+		rep.Rows = append(rep.Rows, row)
 	}
-	rep.Rows = rows
 	return rep, nil
 }
 
