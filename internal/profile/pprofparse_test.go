@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -26,6 +27,10 @@ func TestParseHeapProfile(t *testing.T) {
 	ballast = nil
 	allocateBallast()
 	defer func() { ballast = nil }()
+	// The heap profile is as of the last completed GC: collect once so
+	// the ballast is in it even when a previous run's ballast was the
+	// live set at the last GC (go test -count=N).
+	runtime.GC()
 
 	var buf bytes.Buffer
 	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {

@@ -174,6 +174,7 @@ type Profiler struct {
 	lastTrig map[string]time.Time // per-reason cooldown clocks
 	pending  []string             // queued trigger reasons, deduped
 	captures int64
+	cycles   int64
 	dropped  int64
 	regress  int64
 	errors   int64
@@ -353,6 +354,9 @@ func (p *Profiler) cycle(quit <-chan struct{}, trigger string, pinned bool) {
 	for _, typ := range p.cfg.Snapshots {
 		p.captureSnapshot(typ, trigger, pinned)
 	}
+	p.mu.Lock()
+	p.cycles++
+	p.mu.Unlock()
 }
 
 func (p *Profiler) captureCPU(quit <-chan struct{}, trigger string, pinned bool) {
@@ -522,6 +526,7 @@ type Stats struct {
 	RingBytes    int64          `json:"ring_bytes"`
 	RingCaptures int            `json:"ring_captures"`
 	Captures     int64          `json:"captures"`
+	Cycles       int64          `json:"cycles"` // capture cycles completed, CPU window and snapshots all stored
 	Dropped      int64          `json:"dropped"`
 	Regressions  int64          `json:"regressions"`
 	Errors       int64          `json:"errors"`
@@ -543,6 +548,7 @@ func (p *Profiler) Stats() Stats {
 		RingBytes:    p.ring.bytes,
 		RingCaptures: len(p.ring.caps),
 		Captures:     p.captures,
+		Cycles:       p.cycles,
 		Dropped:      p.dropped,
 		Regressions:  p.regress,
 		Errors:       p.errors,

@@ -81,10 +81,15 @@ func TestBusEventTriggersPinnedCapture(t *testing.T) {
 
 	// Wait out the immediate first cycle so the trigger's captures are
 	// distinguishable.
-	waitFor(t, func() bool { return p.Stats().Captures >= 5 })
+	waitFor(t, func() bool { return p.Stats().Cycles >= 1 })
 
 	bus.Publish(obs.Event{Type: "alert", Msg: "rule fired"})
-	waitFor(t, func() bool { return len(p.List("", "alert", 0)) > 0 })
+	// The triggered cycle is over once its CPU window and every snapshot
+	// are stored; only then is the capture count settled.
+	waitFor(t, func() bool { return p.Stats().Cycles >= 2 })
+	if len(p.List("", "alert", 0)) == 0 {
+		t.Fatal("no alert-attributed capture after the triggered cycle")
+	}
 
 	info, ok := p.Latest(TypeCPU)
 	if !ok {
@@ -93,12 +98,15 @@ func TestBusEventTriggersPinnedCapture(t *testing.T) {
 	if info.Trigger != "alert" || !info.Pinned {
 		t.Fatalf("cpu capture = %+v, want pinned alert-triggered", info)
 	}
-	// Unrelated event types must not trigger.
-	before := p.Stats().Captures
+	// Unrelated event types must not trigger: no cycle starts and no
+	// capture lands after them.
+	before := p.Stats()
 	bus.Publish(obs.Event{Type: "window"})
 	time.Sleep(30 * time.Millisecond)
-	if got := p.Stats().Captures; got != before {
-		t.Fatalf("captures %d -> %d after non-trigger event", before, got)
+	after := p.Stats()
+	if after.Cycles != before.Cycles || after.Captures != before.Captures {
+		t.Fatalf("cycles %d -> %d, captures %d -> %d after non-trigger event",
+			before.Cycles, after.Cycles, before.Captures, after.Captures)
 	}
 }
 
