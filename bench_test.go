@@ -65,13 +65,18 @@ func cellPct(b *testing.B, s string) float64 {
 }
 
 // runExperiment runs one experiment b.N times and returns the last report.
+// Each iteration runs on a copy of the shared runner. The shared runner
+// itself runs no paper figure, so the copy shares the dataset but none of
+// the detectors a Runner trains once for several reports, and every
+// iteration pays for its figure's own training.
 func runExperiment(b *testing.B, id string) *experiments.Report {
 	b.Helper()
-	r := getRunner(b)
+	base := getRunner(b)
 	b.ResetTimer()
 	var rep *experiments.Report
 	var err error
 	for i := 0; i < b.N; i++ {
+		r := *base
 		rep, err = r.Run(id)
 		if err != nil {
 			b.Fatal(err)
