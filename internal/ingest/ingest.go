@@ -506,6 +506,10 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 	if s.started.Load() && s.ctx.Err() != nil {
 		return Accepted{}, ErrStopped
 	}
+	// Stamp arrival before the tenant lookup: a tenant's first batch
+	// creates its state, and that time belongs to the batch's enqueue span
+	// and its ingest-to-verdict latency, not to a gap between spans.
+	now := time.Now().UnixNano()
 	t, err := s.getTenant(tenantID)
 	if err != nil {
 		if _, ok := err.(*TenantLimitError); ok {
@@ -514,7 +518,6 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 		}
 		return Accepted{}, err
 	}
-	now := time.Now().UnixNano()
 	capN := s.cfg.QueueCap
 
 	t.mu.Lock()
